@@ -24,7 +24,7 @@ buffer all work exactly as in the single-pipeline runtime.  Inside one
 4. **rebalance** (optional) — between batches the
    :class:`~repro.shard.rebalance.Rebalancer` plans hot-*bin* moves and
    the :class:`~repro.shard.migration.MigrationController` paces them
-   (``all-at-once`` / ``batched`` / ``fluid``); the coordinator is the
+   (``all-at-once`` / ``batched``); the coordinator is the
    controller's *mover* (:meth:`migrate_index`), performing the
    physical per-index transfers (chain re-link, cell delta transfer,
    BST re-route) and charging one control RTT per bin engaged per gap

@@ -31,15 +31,12 @@ and claim/commit correctness: a cross-shard tuple touching an
 in-flight bin is parked *before* the claim phase, so there is no claim
 to drop or double-apply across the handoff.
 
-Three pacing strategies (CLI ``--migration``), per inter-batch gap:
+Two pacing strategies (CLI ``--migration``), per inter-batch gap:
 
 * ``all-at-once`` — every planned bin transfers completely in the gap
   it was planned; maximum reconfiguration spike, minimum time-to-home.
 * ``batched`` — at most ``bins_per_gap`` whole bins per gap; later
   bins stay queued (and their requests parked) until their turn.
-* ``fluid`` — at most ``indices_per_gap`` index transfers per gap,
-  spread FIFO across the queued bins; a bin flips the moment its last
-  index lands.  Smoothest cycle profile, longest handoff window.
 """
 
 from __future__ import annotations
@@ -53,16 +50,15 @@ from .rebalance import Migration
 
 #: Pacing strategies understood by :class:`MigrationController`
 #: (the CLI ``--migration`` choices).
-PACING_STRATEGIES = ("all-at-once", "batched", "fluid")
+PACING_STRATEGIES = ("all-at-once", "batched")
 
 
 @dataclass
 class BinTransfer:
-    """One bin's in-flight transfer: the plan plus remaining indices."""
+    """One bin's in-flight transfer: the plan plus the bin's indices."""
 
     move: Migration
-    indices: List[int]  # domain indices not yet shipped
-    total: int  # indices the bin held when admitted
+    indices: List[int]  # domain indices the bin held when admitted
 
     @property
     def key(self) -> Tuple[str, int]:
@@ -90,7 +86,6 @@ class MigrationController:
         *,
         strategy: str = "all-at-once",
         bins_per_gap: int = 2,
-        indices_per_gap: int = 16,
     ) -> None:
         if strategy not in PACING_STRATEGIES:
             raise ReproError(
@@ -101,14 +96,9 @@ class MigrationController:
             raise ReproError(
                 f"bins per gap must be positive, got {bins_per_gap}"
             )
-        if indices_per_gap <= 0:
-            raise ReproError(
-                f"indices per gap must be positive, got {indices_per_gap}"
-            )
         self.partition = partition
         self.strategy = strategy
         self.bins_per_gap = bins_per_gap
-        self.indices_per_gap = indices_per_gap
         self._queue: List[BinTransfer] = []
         self._in_flight: Dict[Tuple[str, int], BinTransfer] = {}
         self.bins_admitted = 0
@@ -148,7 +138,7 @@ class MigrationController:
             if table.bin_owner_of(mv.bin) != mv.src:
                 continue  # stale plan; ownership moved under the planner
             indices = [int(i) for i in table.indices_in_bin(mv.bin)]
-            transfer = BinTransfer(mv, indices, len(indices))
+            transfer = BinTransfer(mv, indices)
             self._queue.append(transfer)
             self._in_flight[key] = transfer
             self.bins_admitted += 1
@@ -156,62 +146,35 @@ class MigrationController:
     # ------------------------------------------------------------------
     def step(self, mover) -> StepReport:
         """Advance the queued transfers by one inter-batch gap under the
-        configured pacing; flips each bin's routing the moment its last
-        index lands.  Always makes progress when anything is queued, so
+        configured pacing: each engaged bin ships whole, then flips its
+        routing.  Always makes progress when anything is queued, so
         parked requests are never stranded."""
         report = StepReport()
         if not self._queue:
             return report
-        bins_budget = (
-            self.bins_per_gap if self.strategy == "batched" else None
+        budget = (
+            self.bins_per_gap if self.strategy == "batched"
+            else len(self._queue)
         )
-        index_budget = (
-            self.indices_per_gap if self.strategy == "fluid" else None
-        )
-        queue, self._queue = self._queue, []
-        bins_engaged = 0
-        for transfer in queue:
-            out_of_budget = (
-                bins_budget is not None and bins_engaged >= bins_budget
-            ) or (index_budget is not None and index_budget <= 0)
-            if out_of_budget:
-                self._queue.append(transfer)  # keeps FIFO order
-                continue
+        engaged, self._queue = self._queue[:budget], self._queue[budget:]
+        for transfer in engaged:
             mv = transfer.move
-            moved_any = False
-            aborted = False
-            while transfer.indices:
-                if index_budget is not None and index_budget <= 0:
-                    break
-                idx = transfer.indices[0]
+            # One control round trip per bin engaged; a refused probe
+            # still cost its trip.
+            report.rtts += 1
+            for idx in transfer.indices:
                 words = mover.migrate_index(mv.domain, mv.src, mv.dst, idx)
                 if words is None:
-                    aborted = True
+                    report.skipped += 1
+                    self.bins_skipped += 1
                     break
-                transfer.indices.pop(0)
-                moved_any = True
                 report.words += int(words)
-                if index_budget is not None:
-                    index_budget -= 1
-            if aborted:
-                del self._in_flight[transfer.key]
-                report.skipped += 1
-                self.bins_skipped += 1
-                bins_engaged += 1
-                report.rtts += 1  # the refused probe still cost a trip
-                continue
-            if transfer.indices:
-                self._queue.append(transfer)  # fluid: resumes next gap
             else:
-                table = self.partition.domain(mv.domain)
-                table.move_bin(mv.bin, mv.dst)
-                del self._in_flight[transfer.key]
+                self.partition.domain(mv.domain).move_bin(mv.bin, mv.dst)
                 report.completed += 1
                 report.flipped.append(transfer)
                 self.bins_completed += 1
-            if moved_any or not transfer.indices:
-                bins_engaged += 1
-                report.rtts += 1
+            del self._in_flight[transfer.key]
         if self.observer is not None and (report.rtts or report.completed):
             self.observer.migration_step(report)
         return report

@@ -9,8 +9,8 @@ downstream pointer, chain, tree and sort slot — match exactly.  This
 suite proves it end-to-end:
 
 * per-kind and full-mix closed-loop streams: identical machine-state
-  fingerprints, batch counts and round totals across ``sim``,
-  ``native`` (recorded loop) and ``native --no-recorded-loop``;
+  fingerprints, batch counts and round totals across ``sim`` and
+  ``native`` (recorded loop);
 * retry mode (``carryover=False``, the paper's in-batch loop);
 * K=4 sharded runs: identical coordinator fingerprints, merged end
   states and cross-shard transfer counts;
@@ -54,11 +54,10 @@ KEY_SPACE = 512
 
 
 def _backends():
-    """The three execution arms under test."""
+    """The two execution arms under test."""
     return (
         ("sim", get_backend("sim")),
-        ("native-recorded", NativeBackend(recorded_loop=True)),
-        ("native-interpreted", NativeBackend(recorded_loop=False)),
+        ("native", NativeBackend()),
     )
 
 
@@ -94,7 +93,7 @@ class TestRegistry:
             assert name in message
 
     def test_resolve_accepts_name_and_instance(self):
-        inst = NativeBackend(recorded_loop=False)
+        inst = NativeBackend()
         assert resolve_backend(inst) is inst
         assert isinstance(resolve_backend("sim"), Backend)
 
@@ -249,11 +248,6 @@ class TestCli:
         ])
         assert rc == 2
         assert "deadline" in capsys.readouterr().err
-
-    def test_no_recorded_loop_requires_native(self, capsys):
-        rc = main(["stream", "--requests", "10", "--no-recorded-loop"])
-        assert rc == 2
-        assert "native" in capsys.readouterr().err
 
     def test_info_lists_backends(self, capsys):
         assert main(["info"]) == 0

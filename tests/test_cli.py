@@ -109,11 +109,18 @@ class TestCliBadInput:
          "--migration", "dribble"],
         # pacing without migration enabled
         ["stream", "--requests", "10", "--shards", "2",
-         "--migration", "fluid"],
+         "--migration", "batched"],
         # the serve front-end validates the same pair before spawning
         ["serve", "--workers", "2", "--requests", "10",
          "--migration", "batched"],
         ["serve", "--workers", "2", "--requests", "10", "--bins", "0"],
+        # deleted modes are unknown values and flags (argparse)
+        ["stream", "--requests", "10", "--shards", "2", "--rebalance",
+         "--migration", "fluid"],
+        ["stream", "--requests", "10", "--backend", "native",
+         "--recorded-loop", "auto"],
+        ["stream", "--requests", "10", "--backend", "native",
+         "--no-recorded-loop"],
     ])
     def test_bins_and_migration_validation_exits_2(self, argv, capsys):
         assert main(argv) == 2

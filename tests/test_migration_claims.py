@@ -11,9 +11,9 @@ onto the carryover path *before* the claim phase sees it, and the lane
 replays on the new owner once the bin flips.  These tests drive that
 window deterministically:
 
-* fluid pacing with ``indices_per_gap=1`` holds a bin in flight across
-  several micro-batches while an xfer keeps arriving (parked, parked,
-  …, replayed);
+* batched pacing with ``bins_per_gap=1`` and two bins admitted holds
+  the xfer's bin in flight across two consecutive micro-batches while
+  the xfer keeps arriving (parked, parked, replayed);
 * a claim *loser* carried out of a genuine cross-shard claim round is
   replayed across a bin flip (its destination cell changes owner while
   it waits), and must apply exactly once on the new owner;
@@ -43,7 +43,7 @@ TABLE_SIZE = 11
 N_CELLS = 8
 KEY_SPACE = 13
 SHARDS = 2
-BINS = 2  # 2 bins over 8 cells -> 4 cells per bin, multi-gap fluid drain
+BINS = 2  # 2 bins over 8 cells -> 4 cells per bin
 
 
 def fresh(requests):
@@ -72,7 +72,7 @@ def one_shot_state(requests):
     return chains, executor.list_values()
 
 
-def build_coordinator(all_requests, *, strategy, indices_per_gap=1):
+def build_coordinator(all_requests, *, strategy, bins_per_gap=1):
     """K=2 coordinator with migration under manual control: the
     rebalancer's threshold is unreachable (no organic plans) and the
     test admits bin moves directly to a controller with the requested
@@ -92,7 +92,7 @@ def build_coordinator(all_requests, *, strategy, indices_per_gap=1):
     ctl = MigrationController(
         coord.router.partition,
         strategy=strategy,
-        indices_per_gap=indices_per_gap,
+        bins_per_gap=bins_per_gap,
     )
     coord.controller = ctl
     coord.router.controller = ctl
@@ -108,13 +108,14 @@ FILLERS = [Request(rid=200 + i, kind="hash", key=i, delta=1)
 
 
 class TestInProcessRaces:
-    def test_xfer_parked_through_fluid_handoff_applies_once(self):
+    def test_xfer_parked_across_batches_applies_once(self):
         """An xfer arriving while its source cell's bin is mid-handoff
-        parks (never claims), keeps parking while the drain continues,
-        and applies exactly once on the new owner after the flip."""
+        parks (never claims), keeps parking while the bin waits its
+        turn in the batched queue, and applies exactly once after the
+        flips."""
         xfer = Request(rid=0, kind="xfer", key=0, key2=1, delta=3)
         coord, ctl = build_coordinator(
-            PRIME + FILLERS + [xfer], strategy="fluid", indices_per_gap=1
+            PRIME + FILLERS + [xfer], strategy="batched", bins_per_gap=1
         )
         applied = []
 
@@ -122,40 +123,40 @@ class TestInProcessRaces:
         applied.extend(r.completed)
         assert len(r.completed) == len(PRIME)
 
-        # Bin 0 of the list domain = cells {0, 2, 4, 6}, owned by shard
-        # 0 under the 2-bin hash layout; 4 fluid gaps to drain.
+        # Under the 2-bin hash layout the list domain's bin 0 = cells
+        # {0, 2, 4, 6} on shard 0 and bin 1 = {1, 3, 5, 7} on shard 1.
+        # Swap them, xfer's source bin second: one bin ships per gap.
         table = coord.router.partition.domain("list")
         assert sorted(table.indices_in_bin(0)) == [0, 2, 4, 6]
-        assert table.bin_owner_of(0) == 0
-        ctl.admit([Migration("list", 0, 0, 1, 1.0)])
-        assert ctl.pending == 1
+        assert table.bin_owner_of(0) == 0 and table.bin_owner_of(1) == 1
+        ctl.admit([Migration("list", 1, 1, 0, 1.0),
+                   Migration("list", 0, 0, 1, 1.0)])
+        assert ctl.pending == 2
 
         live = fresh([xfer])
         fillers = fresh(FILLERS)
         r = coord.execute(live + fillers[:2])
         applied.extend(r.completed)
         # Parked, not claimed: the xfer rode the carryover path and the
-        # cells are untouched while the bin is split across shards.
+        # cells are untouched while its bins are in flight.
         assert r.parked == 1
         assert live[0] in r.carried
         assert live[0] not in r.completed
         assert coord.list_values()[0] == 10 and coord.list_values()[1] == 10
-        assert ctl.pending == 1  # one index shipped, three to go
+        assert ctl.pending == 1  # bin 1 flipped, bin 0 still queued
+        assert table.bin_owner_of(1) == 0 and table.bin_owner_of(0) == 0
 
-        # Re-offering the parked lane while the drain continues parks
-        # it again — it can never slip in mid-handoff.
-        gaps = 0
-        while ctl.pending:
-            r = coord.execute([live[0], fillers[2 + gaps]])
-            applied.extend(r.completed)
-            assert live[0] not in r.completed
-            gaps += 1
-            assert gaps < 8, "fluid drain failed to finish"
+        # Re-offering the parked lane while bin 0 waits parks it again
+        # — it can never slip in mid-handoff.
+        r = coord.execute([live[0], fillers[2]])
+        applied.extend(r.completed)
+        assert r.parked == 1 and live[0] in r.carried
+        assert ctl.pending == 0
         assert table.bin_owner_of(0) == 1
-        assert ctl.parked_requests >= 3
+        assert ctl.parked_requests == 2
 
-        # Replay on the new owner: both cells now live on shard 1, so
-        # the transfer is shard-local and must complete.
+        # Replay on the new owners: a cross-shard transfer that must
+        # complete through the claim/commit path.
         r = coord.execute([live[0]])
         applied.extend(r.completed)
         assert live[0] in r.completed
@@ -246,7 +247,7 @@ class TestProcessClusterRaces:
     (query room → export → import) while requests park on the parent's
     router exactly as in-process."""
 
-    def _build(self, all_requests, *, strategy, indices_per_gap=1):
+    def _build(self, all_requests, *, strategy, bins_per_gap=1):
         from repro.serve import ProcessCluster
 
         cluster = ProcessCluster.for_workload(
@@ -264,16 +265,16 @@ class TestProcessClusterRaces:
         ctl = MigrationController(
             cluster.router.partition,
             strategy=strategy,
-            indices_per_gap=indices_per_gap,
+            bins_per_gap=bins_per_gap,
         )
         cluster.controller = ctl
         cluster.router.controller = ctl
         return cluster, ctl
 
-    def test_xfer_parked_through_fluid_handoff_applies_once(self):
+    def test_xfer_parked_across_batches_applies_once(self):
         xfer = Request(rid=0, kind="xfer", key=0, key2=1, delta=3)
         cluster, ctl = self._build(
-            PRIME + FILLERS + [xfer], strategy="fluid", indices_per_gap=1
+            PRIME + FILLERS + [xfer], strategy="batched", bins_per_gap=1
         )
         applied = []
         try:
@@ -282,7 +283,8 @@ class TestProcessClusterRaces:
             assert len(r.completed) == len(PRIME)
 
             table = cluster.router.partition.domain("list")
-            ctl.admit([Migration("list", 0, 0, 1, 1.0)])
+            ctl.admit([Migration("list", 1, 1, 0, 1.0),
+                       Migration("list", 0, 0, 1, 1.0)])
 
             live = fresh([xfer])[0]
             fillers = fresh(FILLERS)
@@ -291,14 +293,11 @@ class TestProcessClusterRaces:
             assert r.parked == 1 and live in r.carried
             assert ctl.pending == 1
 
-            gaps = 0
-            while ctl.pending:
-                r = cluster.execute([live, fillers[2 + gaps]])
-                applied.extend(r.completed)
-                assert live not in r.completed
-                gaps += 1
-                assert gaps < 8, "fluid drain failed to finish"
-            assert table.bin_owner_of(0) == 1
+            r = cluster.execute([live, fillers[2]])
+            applied.extend(r.completed)
+            assert r.parked == 1 and live in r.carried
+            assert ctl.pending == 0
+            assert table.bin_owner_of(0) == 1 and table.bin_owner_of(1) == 0
 
             r = cluster.execute([live])
             applied.extend(r.completed)

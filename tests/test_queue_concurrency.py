@@ -126,22 +126,28 @@ class TestConcurrentReaders:
         queue = BoundedQueue(capacity=32, admission="reject")
         stop = threading.Event()
         bad: list = []
+        # Readers and the consumer share this lock, so inside a
+        # reader's window only producers mutate the queue, and they can
+        # only grow it: once ``full`` reads True the queue cannot be
+        # empty again until the window closes.
+        drain_lock = threading.Lock()
 
         def read():
             while not stop.is_set():
-                d = queue.depth
-                n = len(queue)
-                f = queue.full
-                if not (0 <= d <= 32 and 0 <= n <= 32):
-                    bad.append(("range", d, n))
-                # full is sampled after depth; it may disagree only by
-                # a concurrent mutation, never by a torn read
-                if f and len(queue) == 0 and queue.depth == 0:
-                    bad.append(("full-but-empty", f))
+                with drain_lock:
+                    d = queue.depth
+                    n = len(queue)
+                    f = queue.full
+                    if not (0 <= d <= 32 and 0 <= n <= 32):
+                        bad.append(("range", d, n))
+                    # a full queue that then reads empty is a torn read
+                    if f and len(queue) == 0 and queue.depth == 0:
+                        bad.append(("full-but-empty", f))
 
         def consume():
             while not stop.is_set():
-                queue.take(4)
+                with drain_lock:
+                    queue.take(4)
 
         readers = [threading.Thread(target=read) for _ in range(4)]
         consumer = threading.Thread(target=consume)
