@@ -15,6 +15,7 @@ subsystem cannot take down the whole CLI.
 
 from __future__ import annotations
 
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -37,6 +38,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_help()
         return 2
 
+    try:
+        code = _dispatch(parser, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``repro stream | head``).  Point stdout
+        # at devnull so the flush at interpreter exit cannot raise
+        # again, and exit 1 (the SIGPIPE recipe of the ``signal`` docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _dispatch(parser, args) -> int:
     if args.command == "figures":
         from .figures import run
 

@@ -1,68 +1,49 @@
 """K shard processes behind the single-engine ``execute(batch)`` surface.
 
-:class:`ProcessCluster` is the multi-process twin of
-:class:`~repro.shard.coordinator.ShardCoordinator` — same router, same
-two-phase claim/commit, same merged-state accessors — except the K
-workers are OS processes computing concurrently in their own shared-
-memory arenas instead of K in-process pipelines run back to back.
+:class:`ProcessCluster` is a process *transport* under the one sharded
+engine, :class:`~repro.shard.coordinator.ShardCoordinator`.  The
+coordinator routes, claims, commits, migrates and assembles every
+:class:`~repro.runtime.executor.BatchResult` exactly as it does
+in-process; the cluster only supplies its workers.  Each is a
+:class:`ProcessShard`: a mirror :class:`~repro.shard.worker.ShardWorker`
+built with the identical layout and rebound onto the shared arena of
+one OS process that owns the shard.
 
-One ``execute`` call is one lockstep exchange:
+* **reads** go zero-copy through the mirror: chain keys, cell values
+  and the merged-state accessors (``list_values``/``chain_multisets``/
+  ``bst_inorder``, the scalar oracle) see the live shared words.  Reads
+  happen only between messages, when the owner is idle at its queue;
+* **writes** never happen in the parent.  Every mutator is a message to
+  the owner: ``batch`` (inbox rows in, outbox rows back), ``commit``
+  (the ``(addr, value)`` words the coordinator recorded for this shard
+  in one exchange) and the migration handoff (query room → export →
+  import).  The arena's single writer stays its owner process.
 
-1. **route** — the in-process :class:`~repro.shard.router.Router`
-   splits the batch exactly as the simulated coordinator would;
-2. **scatter** — each busy shard's sub-batch is encoded into its shared
-   inbox (zero-copy rows) and a tiny ``batch`` message posted to its
-   command queue.  All busy workers now run their FOL pipelines *at the
-   same time* — the wall-clock analogue of the coordinator's
-   ``max``-over-shards cycle accounting;
-3. **gather** — each reply names how many completed/carried rows the
-   worker wrote to its shared outbox; the rows are folded back onto the
-   front-end's authoritative request objects by rid;
-4. **claim/commit** — cross-shard tuples resolve first-come against the
-   batch's cell set (identical code path), and each winner's two cell
-   writes are computed by running the spec's ``commit_cross`` against a
-   recording proxy: the proxy reads live cell values straight out of
-   the owners' shared arenas but *records* the writes, which are then
-   shipped to the owner processes as ``commit`` messages — the arena's
-   single writer stays its owner, and claims guarantee the winners'
-   addresses are disjoint so record-then-apply cannot reorder effects.
+The coordinator starts every busy shard before collecting any, so all
+busy workers run their FOL pipelines at the same time — the wall-clock
+analogue of the in-process ``max``-over-shards cycle accounting.
+Process shards report wall seconds (worker-measured ``exec_s`` per
+shard, parent-measured claim/commit and migration phases); ``cycles``
+stays 0.0.
 
-The front-end also keeps a **mirror** :class:`ShardWorker` per shard —
-built with the identical layout, then rebound onto the worker's shared
-arena — wrapped in a real :class:`ShardCoordinator`.  The mirrors never
-execute batches; they give the merged-state accessors
-(``list_values``/``chain_multisets``/``bst_inorder``) and the scalar
-oracle (:func:`repro.audit.diff_stream_state`) a zero-copy, zero-change
-view of the cluster's global end state.  Reads happen only between
-exchanges, when every worker is idle at its command queue.
-
-``shutdown`` is always safe to call (idempotent): it stops workers,
-joins them, snapshots each arena into the mirror (so merged state stays
-inspectable post-mortem), and unlinks every shared segment.
+The cluster itself spawns the processes, owns the shared segments
+(``_links``), runs the reply protocol (:meth:`ProcessCluster._expect`)
+and shuts down.  ``shutdown`` is always safe to call (idempotent): it
+stops workers, joins them, snapshots each arena into its mirror (so
+merged state stays inspectable post-mortem), and unlinks every shared
+segment.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..engine.spec import (
-    MIGRATE_CELL,
-    MIGRATE_CHAIN,
-    count_by_kind,
-    get_domain,
-    get_spec,
-    specs,
-)
+from ..engine.spec import MIGRATE_CELL, MIGRATE_CHAIN
 from ..errors import ReproError
 from ..runtime.executor import BatchResult
 from ..runtime.queue import Request
-from ..shard.coordinator import ShardCoordinator
-from ..shard.migration import MigrationController
-from ..shard.partition import make_partition_map
-from ..shard.rebalance import Rebalancer
-from ..shard.router import Router
+from ..shard.coordinator import ShardCoordinator, shard_capacities
 from ..shard.worker import ShardWorker
 from . import transport
 from .proc_worker import worker_main
@@ -90,62 +71,89 @@ from .transport import (
 REPLY_TIMEOUT = 120.0
 
 
-class _RecordingShard:
-    """Stand-in for one worker in ``spec.commit_cross``: structural
-    addresses and reads come from the mirror (live shared memory),
-    writes are recorded for the owner process to apply."""
+class ProcessShard(ShardWorker):
+    """A mirror shard whose owner is a worker process: reads go through
+    the shared arena, every mutation runs in the owner (see module
+    docstring)."""
 
-    class _Mem:
-        def __init__(self, mirror_mem, writes):
-            self._mem = mirror_mem
-            self._writes = writes
+    wall_clock = True
 
-        def peek(self, addr: int) -> int:
-            # A commit may read an address an earlier recorded write in
-            # the same exchange targeted; claims make winner addresses
-            # disjoint, but stay correct if that ever changes.
-            for a, v in reversed(self._writes):
-                if a == int(addr):
-                    return v
-            return int(self._mem.peek(addr))
+    def __init__(self, cluster: "ProcessCluster", shard_id: int, **layout):
+        super().__init__(shard_id, **layout)
+        self._cluster = cluster
+        self._link = cluster._links[shard_id]
+        self.vm.mem.words = self._link["state"].array
+        self._seq = 0
+        self._sub: List[Request] = []
 
-        def poke(self, addr: int, value: int) -> None:
-            self._writes.append((int(addr), int(value)))
+    def _post(self, tag: str, *payload) -> None:
+        self._seq += 1
+        self._link["cmd"].put((tag, self._seq, *payload))
 
-    class _VM:
-        def __init__(self, mem):
-            self.mem = mem
+    def _reply(self, tag: str):
+        msg = self._cluster._expect(self.shard_id, tag)
+        assert msg[2] == self._seq, f"shard {self.shard_id}: stale reply"
+        return msg
 
-    def __init__(self, mirror: ShardWorker):
-        self._mirror = mirror
-        self.writes: List[Tuple[int, int]] = []
-        self.vm = self._VM(self._Mem(mirror.vm.mem, self.writes))
+    # -- execution ----------------------------------------------------
+    def execute(self, batch: Sequence[Request]) -> BatchResult:
+        self.start(batch)
+        return self.collect()
 
-    def cell_addr(self, cell: int) -> int:
-        return self._mirror.cell_addr(cell)
+    def start(self, batch: Sequence[Request]) -> None:
+        n = transport.encode_requests(batch, self._link["inbox"].array)
+        self._sub = list(batch)
+        self._post(MSG_BATCH, n)
 
+    def collect(self) -> BatchResult:
+        """Fold the owner's outbox rows back onto the parent's request
+        objects (by rid); ``shard_exec_spans`` carries the owner's
+        measured execute seconds."""
+        _, _, _, n_done, n_carried, rounds, mult, exec_s = self._reply(
+            MSG_DONE
+        )
+        result = BatchResult(
+            rounds=rounds, multiplicity=mult, shard_exec_spans=(exec_s,)
+        )
+        out = self._link["outbox"].array
+        by_rid = {req.rid: req for req in self._sub}
+        for i in range(n_done + n_carried):
+            req = by_rid[int(out[i, transport.COL_RID])]
+            transport.apply_row(req, out[i])
+            (result.completed if i < n_done else result.carried).append(req)
+        self._sub = []
+        return result
 
-class _CommitRecorder:
-    """The ``coordinator`` argument ``commit_cross``/``carry_group``
-    expect, backed by recording shards."""
+    def apply_commit(self, writes) -> None:
+        self._post(MSG_COMMIT, list(writes))
+        self._reply(MSG_COMMITTED)
 
-    def __init__(self, mirrors: Sequence[ShardWorker]):
-        self.workers = [_RecordingShard(m) for m in mirrors]
+    # -- migration: the owner moves its state --------------------------
+    def can_import_chain(self, n_keys: int) -> bool:
+        # The mirror's bump allocator never advances (allocations happen
+        # in the owner), so only the owner knows its headroom.
+        self._post(MSG_MIG_QUERY, n_keys)
+        return bool(self._reply(MSG_MIG_ROOM)[3])
 
-    def reset(self) -> None:
-        for w in self.workers:
-            w.writes.clear()
+    def export_chain(self, slot: int) -> List[int]:
+        self._post(MSG_MIG_EXPORT, MIGRATE_CHAIN, slot)
+        return self._reply(MSG_MIG_STATE)[3]
 
-    def pending(self) -> List[Tuple[int, List[Tuple[int, int]]]]:
-        return [
-            (s, list(w.writes))
-            for s, w in enumerate(self.workers)
-            if w.writes
-        ]
+    def import_chain(self, slot: int, keys: List[int]) -> None:
+        self._post(MSG_MIG_IMPORT, MIGRATE_CHAIN, slot, list(keys))
+        self._reply(MSG_MIG_DONE)
+
+    def export_cell(self, cell: int) -> int:
+        self._post(MSG_MIG_EXPORT, MIGRATE_CELL, cell)
+        return int(self._reply(MSG_MIG_STATE)[3])
+
+    def import_cell(self, cell: int, value: int) -> None:
+        self._post(MSG_MIG_IMPORT, MIGRATE_CELL, cell, int(value))
+        self._reply(MSG_MIG_DONE)
 
 
 class ProcessCluster:
-    """K shard worker processes + shared arenas + claim/commit bridge."""
+    """K shard worker processes + shared arenas under one coordinator."""
 
     def __init__(
         self,
@@ -174,25 +182,22 @@ class ProcessCluster:
             raise ReproError(f"worker count must be positive, got {shards}")
         get_backend(backend)  # fail fast on unknown names, in this process
         self.shards = shards
-        self.table_size = table_size
-        self.n_cells = n_cells
-        self.key_space = key_space
         self.reply_timeout = reply_timeout
         self._alive = False
         ctx = EngineContext(
             table_size=table_size, n_cells=n_cells, key_space=key_space
         )
         words = machine_words(capacities, ctx)
-
-        partition = make_partition_map(
-            partitioner,
-            shards,
+        layout = dict(
             table_size=table_size,
             n_cells=n_cells,
             key_space=key_space,
-            bins=bins,
+            capacities=dict(capacities),
+            carryover=carryover,
+            conflict_policy=conflict_policy,
+            backend=backend,
+            seed=seed,
         )
-        self.router = Router(partition)
 
         # -- shared segments + worker processes ------------------------
         mp_ctx = mp.get_context()
@@ -203,19 +208,12 @@ class ProcessCluster:
             outbox = ShmBlock.create((inbox_rows, ROW_COLS))
             cfg = WorkerConfig(
                 shard_id=s,
-                table_size=table_size,
-                n_cells=n_cells,
-                key_space=key_space,
-                capacities=dict(capacities),
-                carryover=carryover,
-                conflict_policy=conflict_policy,
-                backend=backend,
-                seed=seed,
                 words=words,
                 inbox_rows=inbox_rows,
                 state_name=state.name,
                 inbox_name=inbox.name,
                 outbox_name=outbox.name,
+                **layout,
             )
             cmd_q = mp_ctx.Queue()
             res_q = mp_ctx.Queue()
@@ -245,48 +243,19 @@ class ProcessCluster:
             self.shutdown()
             raise
 
-        # -- zero-copy mirrors over the workers' arenas ----------------
-        mirrors = []
-        for s, link in enumerate(self._links):
-            mirror = ShardWorker(
-                s,
-                table_size=table_size,
-                n_cells=n_cells,
-                key_space=key_space,
-                capacities=capacities,
-                carryover=carryover,
-                conflict_policy=conflict_policy,
-                backend=backend,
-                seed=seed,
-            )
-            mirror.vm.mem.words = link["state"].array
-            mirrors.append(mirror)
-        #: Real coordinator over the mirrors: merged-state accessors and
-        #: the scalar oracle work on the live cluster state unchanged.
-        self.coordinator = ShardCoordinator(mirrors, self.router)
-        self._recorder = _CommitRecorder(mirrors)
-        self._batch_id = 0
-        self.exchanges = 0
-        self.total_cross = 0
-
-        # -- live migration across processes ---------------------------
-        # Built after the mirror coordinator (whose constructor resets
-        # the router's controller hook).  The cluster itself is the
-        # controller's mover: exports run in the source process, imports
-        # in the destination, the parent only relays between them.
-        self.rebalancer = (
-            Rebalancer(partition, objective=rebalance_objective)
-            if rebalance
-            else None
+        #: The one sharded engine, over process-backed shards: routing,
+        #: claim/commit, migration and the merged-state accessors.
+        self.coordinator = ShardCoordinator.assemble(
+            [ProcessShard(self, s, **layout) for s in range(shards)],
+            table_size=table_size,
+            n_cells=n_cells,
+            key_space=key_space,
+            partitioner=partitioner,
+            rebalance=rebalance,
+            rebalance_objective=rebalance_objective,
+            bins=bins,
+            migration=migration,
         )
-        self.controller = (
-            MigrationController(partition, strategy=migration)
-            if rebalance
-            else None
-        )
-        self.router.controller = self.controller
-        self.total_migrations = 0
-        self.migration_skips = 0
 
     # ------------------------------------------------------------------
     @classmethod
@@ -301,15 +270,13 @@ class ProcessCluster:
         """Size arenas and inboxes for ``requests`` the way
         :meth:`ShardCoordinator.for_workload` does: every worker can
         hold the whole workload (skew can land it all on one shard)."""
-        counts = count_by_kind(requests)
-        caps = {
-            spec.name: spec.shard_capacity(counts.get(spec.name, 0))
-            for spec in specs()
-        }
         if inbox_rows is None:
             inbox_rows = max(4096, len(list(requests)) + 1024)
         return cls(
-            shards=shards, capacities=caps, inbox_rows=inbox_rows, **kwargs
+            shards=shards,
+            capacities=shard_capacities(requests),
+            inbox_rows=inbox_rows,
+            **kwargs,
         )
 
     # ------------------------------------------------------------------
@@ -337,143 +304,12 @@ class ProcessCluster:
 
     # ------------------------------------------------------------------
     def execute(self, batch: Sequence[Request]) -> BatchResult:
-        """One lockstep exchange (see module docstring).  Matches the
-        coordinator's ``execute`` contract; ``cycles`` stays 0.0 — this
-        engine is measured in wall-clock seconds, not simulated cycles."""
-        result = BatchResult()
-        if not batch:
-            return result
-        if not self._alive:
+        """One lockstep exchange through the coordinator (see module
+        docstring); ``cycles`` stays 0.0 — this engine is measured in
+        wall-clock seconds, not simulated cycles."""
+        if batch and not self._alive:
             raise ReproError("cluster is shut down")
-        per_shard, cross, parked = self.router.split(batch)
-        # Parked lanes (bin mid-handoff) recirculate via the carryover
-        # path and replay once the new owner has the bin's state.
-        result.carried.extend(parked)
-        result.parked = len(parked)
-
-        # -- scatter: all busy shards compute concurrently -------------
-        self._batch_id += 1
-        busy: List[Tuple[int, List[Request]]] = []
-        for s, sub in enumerate(per_shard):
-            if not sub:
-                continue
-            n = transport.encode_requests(sub, self._links[s]["inbox"].array)
-            self._links[s]["cmd"].put((MSG_BATCH, self._batch_id, n))
-            busy.append((s, sub))
-
-        # -- gather ----------------------------------------------------
-        rounds = [0] * self.shards
-        exec_spans = [0.0] * self.shards
-        mults = [1]
-        for s, sub in busy:
-            msg = self._expect(s, MSG_DONE)
-            _, _, batch_id, n_done, n_carried, r, m, exec_s = msg
-            assert batch_id == self._batch_id
-            out = self._links[s]["outbox"].array
-            by_rid = {req.rid: req for req in sub}
-            for i in range(n_done + n_carried):
-                req = by_rid[int(out[i, transport.COL_RID])]
-                transport.apply_row(req, out[i])
-                (result.completed if i < n_done else result.carried).append(
-                    req
-                )
-            rounds[s] = r
-            exec_spans[s] = exec_s
-            mults.append(m)
-
-        # -- two-phase claim/commit over the message queues ------------
-        if cross:
-            t_claim = time.perf_counter()
-            winners, losers = self.router.resolve_claims(cross)
-            self._recorder.reset()
-            for unit in winners:
-                get_spec(unit.request.kind).commit_cross(self._recorder, unit)
-                result.completed.append(unit.request)
-            for unit in losers:
-                req = unit.request
-                req.group = get_spec(req.kind).carry_group(
-                    self._recorder, unit
-                )
-                result.carried.append(req)
-            commits = self._recorder.pending()
-            for s, writes in commits:
-                self._links[s]["cmd"].put((MSG_COMMIT, self._batch_id, writes))
-            for s, _ in commits:
-                self._expect(s, MSG_COMMITTED)
-            self.total_cross += len(cross)
-            result.cross_committed = tuple(u.request.rid for u in winners)
-            result.exchange_span = time.perf_counter() - t_claim
-
-        # -- inter-batch live migration (workers idle at their queues) -
-        if self.rebalancer is not None:
-            t_mig = time.perf_counter()
-            self.controller.admit(self.rebalancer.plan())
-            rep = self.controller.step(self)
-            result.migrations = rep.completed
-            self.total_migrations += rep.completed
-            self.migration_skips += rep.skipped
-            result.migration_span = time.perf_counter() - t_mig
-
-        result.rounds = max(rounds)
-        result.multiplicity = max(mults)
-        result.shard_exec_spans = tuple(exec_spans)
-        result.kind_counts = tuple(count_by_kind(batch).items())
-        result.shard_sizes = tuple(len(sub) for sub in per_shard)
-        result.shard_rounds = tuple(rounds)
-        result.cross_units = len(cross)
-        self.exchanges += 1
-        return result
-
-    # ------------------------------------------------------------------
-    # migration (the MigrationController's mover hook, over the queues)
-    # ------------------------------------------------------------------
-    def migrate_index(
-        self, domain: str, src: int, dst: int, index: int
-    ) -> Optional[int]:
-        """Move one domain index's state between worker *processes*;
-        returns the words shipped, or ``None`` when the destination's
-        node arena cannot take the chain (bin aborted, routing intact).
-
-        Single-writer discipline holds throughout: the export mutates
-        the source arena in the source process, the import mutates the
-        destination arena in the destination process, and the parent
-        only relays the payload between the two exchanges (both workers
-        are idle at their command queues — nothing else is running).
-        The chain keys are read zero-copy through the mirror (shared
-        words, structural addresses identical), but the *capacity* check
-        must go to the destination process: the mirror's bump allocator
-        never advances, only the owner knows its headroom.
-        """
-        self._batch_id += 1
-        xfer = self._batch_id
-        style = get_domain(domain).migration
-        if style == MIGRATE_CHAIN:
-            mirror = self.coordinator.workers[src]
-            keys = mirror.executor.table.chain(index)
-            self._links[dst]["cmd"].put((MSG_MIG_QUERY, xfer, len(keys)))
-            ok = self._expect(dst, MSG_MIG_ROOM)[3]
-            if not ok:
-                return None
-            self._links[src]["cmd"].put(
-                (MSG_MIG_EXPORT, xfer, style, index)
-            )
-            payload = self._expect(src, MSG_MIG_STATE)[3]
-            self._links[dst]["cmd"].put(
-                (MSG_MIG_IMPORT, xfer, style, index, payload)
-            )
-            self._expect(dst, MSG_MIG_DONE)
-            return 2 * len(keys) + 1  # (key, next) records + head
-        if style == MIGRATE_CELL:
-            self._links[src]["cmd"].put(
-                (MSG_MIG_EXPORT, xfer, style, index)
-            )
-            value = self._expect(src, MSG_MIG_STATE)[3]
-            self._links[dst]["cmd"].put(
-                (MSG_MIG_IMPORT, xfer, style, index, value)
-            )
-            self._expect(dst, MSG_MIG_DONE)
-            return 1
-        return 0  # MIGRATE_ROUTE: merge-on-read state, no payload
+        return self.coordinator.execute(batch)
 
     # ------------------------------------------------------------------
     def shutdown(self, join_timeout: float = 10.0) -> None:

@@ -20,9 +20,10 @@ values with zero copies and zero messages.
 
 The control loop is lockstep message-driven — run a batch, apply a
 commit, stop — and the worker only touches its own arena.  Cross-shard
-commits arrive as explicit ``(addr, value)`` word writes from the
-front-end's claim/commit resolution, preserving the single-writer
-discipline: nobody but the owner process ever writes a shard's arena.
+commits arrive as explicit ``(addr, value)`` word writes the parent's
+coordinator recorded in its claim/commit exchange, preserving the
+single-writer discipline: nobody but the owner process ever writes a
+shard's arena.
 
 Workers ignore SIGINT/SIGTERM; shutdown is always a ``stop`` message
 from the front-end (so Ctrl-C drains cleanly instead of killing
@@ -118,8 +119,7 @@ def worker_main(cfg: WorkerConfig, cmd_q, res_q) -> None:
                 )
             elif tag == MSG_COMMIT:
                 _, batch_id, writes = msg
-                for addr, value in writes:
-                    mem.words[int(addr)] = int(value)
+                worker.apply_commit(writes)
                 res_q.put((MSG_COMMITTED, cfg.shard_id, batch_id))
             elif tag == MSG_MIG_QUERY:
                 # Capacity must be answered here: the front-end mirror's
@@ -139,8 +139,7 @@ def worker_main(cfg: WorkerConfig, cmd_q, res_q) -> None:
 
                 _, xfer_id, style, index = msg
                 if style == MIGRATE_CHAIN:
-                    payload = worker.executor.table.chain(int(index))
-                    worker.export_chain(int(index))
+                    payload = worker.export_chain(int(index))
                 else:  # MIGRATE_CELL
                     payload = worker.export_cell(int(index))
                 res_q.put((MSG_MIG_STATE, cfg.shard_id, xfer_id, payload))

@@ -9,14 +9,17 @@ buffer all work exactly as in the single-pipeline runtime.  Inside one
 
 1. **route** — the :class:`~repro.shard.router.Router` splits the batch
    into per-shard sub-batches plus cross-shard ``"xfer"`` units;
-2. **local execution** — each busy worker runs its slice through its
-   own FOL pipeline.  The workers are independent machines over
-   disjoint address sets, so the batch's local cost is
-   ``max`` over per-shard cycle deltas — the makespan of K concurrent
-   pipelines — not their sum;
+2. **local execution** — every busy worker is started on its slice
+   before any is collected, then each runs its own FOL pipeline.  The
+   workers are independent machines over disjoint address sets, so the
+   batch's local cost is ``max`` over per-shard cycle deltas — the
+   makespan of K concurrent pipelines — not their sum;
 3. **claim/commit** — cross-shard units that won their first-come
-   claims commit (the coordinator applies both cell updates on the
-   owners' memories); losers are carried like any filtered lane.
+   claims commit; losers are carried like any filtered lane.  Commits
+   are record-then-apply: each winner's ``commit_cross`` runs against a
+   recording view of the shards (reads see writes recorded earlier in
+   the exchange), then each touched shard applies its writes once
+   (:meth:`~repro.shard.worker.ShardWorker.apply_commit`).
    The exchange is charged explicitly: one overlapped claim RTT and
    one commit RTT (``shard_claim_rtt``) per batch that has cross
    units, plus ``shard_transfer_per_word`` for the claim (2 words) and
@@ -34,6 +37,13 @@ buffer all work exactly as in the single-pipeline runtime.  Inside one
    :mod:`repro.shard.migration`).  Migration cycles are attributed to
    the batch that just finished, i.e. the inter-batch gap they occupy.
 
+The same coordinator drives the multi-process engine: a
+:class:`~repro.serve.cluster.ProcessCluster` hands it process-backed
+workers that run batches, commits and migration steps in their owner
+processes.  Those workers report wall seconds
+(:attr:`~repro.shard.worker.ShardWorker.wall_clock`), so the phase
+spans become wall seconds measured here and ``cycles`` stays 0.0.
+
 Merged state accessors (:meth:`list_values`, :meth:`chain_multisets`,
 :meth:`bst_inorder`) define the global state a K-shard engine
 represents: per-cell values are *sums* of the shards' contributions,
@@ -44,6 +54,8 @@ against one-shot FOL1 on a single pipeline.
 
 from __future__ import annotations
 
+import time
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -71,6 +83,44 @@ _CLAIM_WORDS = 2
 _COMMIT_WORDS = 3
 
 
+def shard_capacities(requests: Sequence[Request]) -> Dict[str, int]:
+    """Per-kind arena capacities for one shard of a K-shard engine over
+    ``requests``: every shard can hold the whole workload, since routing
+    skew or migration can land any fraction of it on one shard."""
+    counts = count_by_kind(requests)
+    return {
+        spec.name: spec.shard_capacity(counts.get(spec.name, 0))
+        for spec in specs()
+    }
+
+
+class _RecordingShard:
+    """One shard as ``commit_cross``/``carry_group`` see it during an
+    exchange: addresses and reads come from the shard, writes
+    (``vm.mem.poke``) are recorded for :meth:`ShardWorker.apply_commit`.
+    A read returns any write recorded earlier in the same exchange, so
+    winners touching one cell in turn compose as in-place stores would.
+    """
+
+    def __init__(self, shard: ShardWorker) -> None:
+        self._shard = shard
+        self._mem = shard.vm.mem
+        self.writes: Dict[int, int] = {}
+        self.vm = SimpleNamespace(mem=self)  # the spec's w.vm.mem
+
+    def cell_addr(self, cell: int) -> int:
+        return self._shard.cell_addr(cell)
+
+    def peek(self, addr: int) -> int:
+        addr = int(addr)
+        if addr in self.writes:
+            return self.writes[addr]
+        return int(self._mem.peek(addr))
+
+    def poke(self, addr: int, value: int) -> None:
+        self.writes[int(addr)] = int(value)
+
+
 class ShardCoordinator:
     """Owner-computes execution of micro-batches across K workers."""
 
@@ -95,6 +145,7 @@ class ShardCoordinator:
             controller = MigrationController(router.partition)
         self.controller = controller
         router.controller = controller
+        self._wall = workers[0].wall_clock
         # Cycles charged outside any single worker's counter (cross-shard
         # exchanges and migrations); the per-worker counters hold only
         # shard-local pipeline work.
@@ -114,8 +165,6 @@ class ShardCoordinator:
         requests: Sequence[Request],
         *,
         shards: int,
-        partitioner: str = "hash",  # no-kind-lint
-        rebalance: bool = False,
         table_size: int = 509,
         n_cells: int = 64,
         key_space: int = 4096,
@@ -124,37 +173,23 @@ class ShardCoordinator:
         cost_model: Optional[CostModel] = None,
         backend="sim",
         seed: int = 0,
-        rebalance_threshold: float = 1.8,
-        rebalance_cooldown: int = 4,
-        rebalance_max_moves: int = 8,
-        rebalance_objective: str = "imbalance",
-        bins: Optional[int] = None,
-        migration: str = "all-at-once",
+        **routing,
     ) -> "ShardCoordinator":
         """Build a K-shard engine sized for ``requests``.
 
         Workers get identical layouts (a requirement — see
         :mod:`repro.shard.worker`): every worker's arenas are sized for
-        the *whole* workload, since routing skew or migration can land
-        any fraction of it on one shard.  Hash node arenas get extra
-        headroom because chain migration re-allocates nodes at the
-        destination (bump arenas never reclaim the source's records).
+        the *whole* workload (:func:`shard_capacities`).  Hash node
+        arenas get extra headroom because chain migration re-allocates
+        nodes at the destination (bump arenas never reclaim the
+        source's records).  ``routing`` keywords go to :meth:`assemble`.
         """
         from ..backend import resolve_backend
 
         if shards <= 0:
             raise ReproError(f"shard count must be positive, got {shards}")
-        if migration not in PACING_STRATEGIES:
-            raise ReproError(
-                f"unknown migration strategy {migration!r}; "
-                f"expected one of {PACING_STRATEGIES}"
-            )
         backend = resolve_backend(backend)
-        counts = count_by_kind(requests)
-        caps = {
-            spec.name: spec.shard_capacity(counts.get(spec.name, 0))
-            for spec in specs()
-        }
+        caps = shard_capacities(requests)
         workers = [
             ShardWorker(
                 s,
@@ -170,9 +205,44 @@ class ShardCoordinator:
             )
             for s in range(shards)
         ]
+        return cls.assemble(
+            workers,
+            table_size=table_size,
+            n_cells=n_cells,
+            key_space=key_space,
+            cost_model=cost_model,
+            **routing,
+        )
+
+    @classmethod
+    def assemble(
+        cls,
+        workers: List[ShardWorker],
+        *,
+        table_size: int,
+        n_cells: int,
+        key_space: int,
+        partitioner: str = "hash",  # no-kind-lint
+        rebalance: bool = False,
+        cost_model: Optional[CostModel] = None,
+        rebalance_threshold: float = 1.8,
+        rebalance_cooldown: int = 4,
+        rebalance_max_moves: int = 8,
+        rebalance_objective: str = "imbalance",
+        bins: Optional[int] = None,
+        migration: str = "all-at-once",
+    ) -> "ShardCoordinator":
+        """Wire built ``workers`` (in-process or process-backed) to a
+        partition map, router and, with ``rebalance``, a rebalancer and
+        migration controller."""
+        if migration not in PACING_STRATEGIES:
+            raise ReproError(
+                f"unknown migration strategy {migration!r}; "
+                f"expected one of {PACING_STRATEGIES}"
+            )
         partition = make_partition_map(
             partitioner,
-            shards,
+            len(workers),
             table_size=table_size,
             n_cells=n_cells,
             key_space=key_space,
@@ -266,61 +336,79 @@ class ShardCoordinator:
         # path and replay once the new owner has the bin's state.
         result.carried.extend(parked)
         result.parked = len(parked)
+        wall = self._wall
+        charged = self.backend.calibrated and not wall
 
         # -- concurrent shard-local execution --------------------------
+        busy = [s for s, sub in enumerate(per_shard) if sub]
+        for s in busy:
+            self.workers[s].start(per_shard[s])
         local_cycles = [0.0] * self.shards
+        local_spans = [0.0] * self.shards
         local_rounds = [0] * self.shards
         mults = [1]
-        for s, sub in enumerate(per_shard):
-            if not sub:
-                continue
-            r = self.workers[s].execute(sub)
+        for s in busy:
+            r = self.workers[s].collect()
             result.completed.extend(r.completed)
             result.carried.extend(r.carried)
             local_cycles[s] = r.cycles
+            local_spans[s] = r.shard_exec_spans[0] if wall else r.cycles
             local_rounds[s] = r.rounds
             mults.append(r.multiplicity)
 
         # -- two-phase claim/commit for cross-shard tuples -------------
         exchange = 0.0
         if cross:
+            t0 = time.perf_counter()
             winners, losers = self.router.resolve_claims(cross)
             result.cross_committed = tuple(u.request.rid for u in winners)
+            view = SimpleNamespace(
+                workers=[_RecordingShard(w) for w in self.workers]
+            )
             for unit in winners:
-                get_spec(unit.request.kind).commit_cross(self, unit)
+                get_spec(unit.request.kind).commit_cross(view, unit)
                 result.completed.append(unit.request)
             for unit in losers:
                 req = unit.request
-                req.group = get_spec(req.kind).carry_group(self, unit)
+                req.group = get_spec(req.kind).carry_group(view, unit)
                 result.carried.append(req)
-            if self.backend.calibrated:
+            for w, rec in zip(self.workers, view.workers):
+                if rec.writes:
+                    w.apply_commit(list(rec.writes.items()))
+            if charged:
                 exchange = 2 * self.cost.shard_claim_rtt
                 exchange += self.cost.shard_transfer_per_word * (
                     _CLAIM_WORDS * len(cross) + _COMMIT_WORDS * len(winners)
                 )
-            self.exchange_cycles += exchange
+                self.exchange_cycles += exchange
+            elif wall:
+                exchange = time.perf_counter() - t0
             self.total_cross += len(cross)
 
         # -- inter-batch live migration --------------------------------
         migration = 0.0
         n_moves = 0
         if self.rebalancer is not None:
+            t0 = time.perf_counter()
             self.controller.admit(self.rebalancer.plan())
             rep = self.controller.step(self)
-            if self.backend.calibrated:
+            if charged:
                 migration = self.cost.shard_claim_rtt * rep.rtts
                 migration += self.cost.shard_transfer_per_word * rep.words
-            self.migration_cycles += migration
+                self.migration_cycles += migration
+            elif wall:
+                migration = time.perf_counter() - t0
             n_moves = rep.completed
             self.total_migrations += rep.completed
             self.migration_skips += rep.skipped
 
         result.rounds = max(local_rounds)
         result.multiplicity = max(mults)
-        result.cycles = max(local_cycles) + exchange + migration
+        if not wall:
+            result.cycles = max(local_cycles) + exchange + migration
         result.exchange_span = exchange
         result.migration_span = migration
-        result.shard_exec_spans = tuple(local_cycles)
+        result.shard_exec_spans = tuple(local_spans)
         result.kind_counts = tuple(count_by_kind(batch).items())
         result.shard_sizes = tuple(len(sub) for sub in per_shard)
         result.shard_cycles = tuple(local_cycles)

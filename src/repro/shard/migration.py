@@ -4,9 +4,9 @@ The :class:`~repro.shard.rebalance.Rebalancer` decides *which* bins
 should move; this module decides *how fast* they move and keeps the
 owner-computes discipline intact while they are in flight.  The
 controller sits between the planner and the engine that owns the
-workers (the in-process :class:`~repro.shard.coordinator.
-ShardCoordinator` or the multi-process :class:`~repro.serve.cluster.
-ProcessCluster`) and drives one **mover** callback per domain index:
+workers (the :class:`~repro.shard.coordinator.ShardCoordinator`, over
+in-process or process-backed shards) and drives one **mover** callback
+per domain index:
 
     ``mover.migrate_index(domain, src, dst, index) -> words | None``
 
@@ -41,7 +41,7 @@ Two pacing strategies (CLI ``--migration``), per inter-batch gap:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..errors import ReproError
@@ -73,7 +73,6 @@ class StepReport:
     rtts: int = 0  # control round trips (bins engaged this gap)
     completed: int = 0  # bins that finished and flipped ownership
     skipped: int = 0  # bins aborted (destination refused)
-    flipped: List[BinTransfer] = field(default_factory=list)
 
 
 class MigrationController:
@@ -172,7 +171,6 @@ class MigrationController:
             else:
                 self.partition.domain(mv.domain).move_bin(mv.bin, mv.dst)
                 report.completed += 1
-                report.flipped.append(transfer)
                 self.bins_completed += 1
             del self._in_flight[transfer.key]
         if self.observer is not None and (report.rtts or report.completed):

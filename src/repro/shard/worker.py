@@ -19,10 +19,21 @@ every shard.  Two things depend on this:
 * migration can move a chain between shards by address-preserving
   re-linking rather than rewriting pointers.
 
-The worker also provides the migration primitives
-(:meth:`export_chain`/:meth:`import_chain`,
-:meth:`export_cell`/:meth:`import_cell`) that
-:mod:`repro.shard.rebalance` drives.  These use uncharged debug access:
+The coordinator drives a worker through a small surface, so the same
+coordinator runs in-process workers and process-backed ones
+(:class:`repro.serve.cluster.ProcessShard`, which overrides every
+mutator below to run in the shard's owner process):
+
+* :meth:`start`/:meth:`collect` run one sub-batch (the coordinator
+  starts every busy shard before collecting any);
+* :meth:`apply_commit` applies the cross-shard writes the coordinator
+  recorded for this shard in one exchange;
+* the migration primitives (:meth:`can_import_chain`,
+  :meth:`export_chain`/:meth:`import_chain`,
+  :meth:`export_cell`/:meth:`import_cell`) that
+  :mod:`repro.shard.migration` drives.
+
+Commits and migrations use uncharged debug access:
 the *simulated* cost of a migration is charged explicitly by the
 coordinator from the cost model's ``shard_transfer_per_word`` /
 ``shard_claim_rtt`` fields, not by replaying the moves through a
@@ -32,7 +43,7 @@ is not its vector unit).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..engine.spec import EngineContext, machine_words, resolve_capacities
 from ..lists.cells import encode_atom
@@ -44,6 +55,10 @@ from ..runtime.queue import Request
 
 class ShardWorker:
     """One owner-computes shard wrapping the single-pipeline executor."""
+
+    #: Span clock: in-process shards report simulated cycles; a
+    #: process-backed shard reports wall seconds its owner measured.
+    wall_clock = False
 
     def __init__(
         self,
@@ -88,6 +103,7 @@ class ShardWorker:
         self.vm = vm
         self.batches = 0
         self.lanes = 0
+        self._started: Optional[BatchResult] = None
 
     # ------------------------------------------------------------------
     # invariant auditing (opt-in; zero cost when off)
@@ -115,6 +131,22 @@ class ShardWorker:
         self.batches += 1
         self.lanes += len(batch)
         return result
+
+    def start(self, batch: Sequence[Request]) -> None:
+        """Begin this shard's slice; :meth:`collect` returns its result.
+        An in-process shard runs it here and now."""
+        self._started = self.execute(batch)
+
+    def collect(self) -> BatchResult:
+        result, self._started = self._started, None
+        return result
+
+    def apply_commit(self, writes: Iterable[Tuple[int, int]]) -> None:
+        """Apply one exchange's recorded cross-shard ``(addr, value)``
+        word writes to this shard's memory (uncharged stores)."""
+        mem = self.vm.mem
+        for addr, value in writes:
+            mem.poke(int(addr), int(value))
 
     # ------------------------------------------------------------------
     # migration primitives (uncharged here; coordinator charges cycles)

@@ -171,3 +171,32 @@ class TestCliBadInput:
     ])
     def test_tenant_and_qos_validation_exits_2(self, argv, capsys):
         assert main(argv) == 2
+
+
+def test_closed_stdout_pipe_ends_without_traceback():
+    """``repro stream ... | head -1``: once the reader goes away the CLI
+    exits 1 quietly instead of dying in a ``BrokenPipeError`` traceback
+    (the output is larger than a pipe buffer, so writes must fail)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "stream", "--requests", "2500",
+         "--policy", "fixed", "--batch-size", "1",
+         "--print-batches", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"stream:")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err, err

@@ -261,14 +261,15 @@ class TestProcessClusterRaces:
             rebalance=True,
             migration=strategy,
         )
-        cluster.rebalancer.threshold = 1e9  # no organic plans
+        coord = cluster.coordinator
+        coord.rebalancer.threshold = 1e9  # no organic plans
         ctl = MigrationController(
-            cluster.router.partition,
+            coord.router.partition,
             strategy=strategy,
             bins_per_gap=bins_per_gap,
         )
-        cluster.controller = ctl
-        cluster.router.controller = ctl
+        coord.controller = ctl
+        coord.router.controller = ctl
         return cluster, ctl
 
     def test_xfer_parked_across_batches_applies_once(self):
@@ -282,7 +283,7 @@ class TestProcessClusterRaces:
             applied.extend(r.completed)
             assert len(r.completed) == len(PRIME)
 
-            table = cluster.router.partition.domain("list")
+            table = cluster.coordinator.router.partition.domain("list")
             ctl.admit([Migration("list", 1, 1, 0, 1.0),
                        Migration("list", 0, 0, 1, 1.0)])
 
@@ -332,7 +333,7 @@ class TestProcessClusterRaces:
             assert r.completed == [live_a]
             assert live_b in r.carried
 
-            table = cluster.router.partition.domain("list")
+            table = cluster.coordinator.router.partition.domain("list")
             ctl.admit([Migration("list", 0, 0, 1, 1.0)])
             r = cluster.execute([live_b] + fresh(FILLERS)[:1])
             applied.extend(r.completed)

@@ -109,6 +109,39 @@ class TestProcessCluster:
         finally:
             cluster.shutdown()
 
+    def test_rebalanced_trace_records_every_migration(self):
+        """The frontend wires the lifecycle recorder to the controller
+        that actually migrates: one ``migration`` event per step that
+        engaged a bin, their ``bins`` summing to the bins moved."""
+        import asyncio
+
+        from repro.obs.core import Clock
+        from repro.obs.events import TraceRecorder
+        from repro.runtime import BoundedQueue, FixedBatcher
+        from repro.serve import ServeFrontend
+
+        workload = timed_workload(
+            np.random.default_rng(1), 600, kinds=("hash", "list"), skew=1.4
+        )
+        cluster = ProcessCluster.for_workload(
+            workload, shards=2, backend="native", seed=1, rebalance=True
+        )
+        try:
+            frontend = ServeFrontend(
+                cluster, batcher=FixedBatcher(128), queue=BoundedQueue(8192)
+            )
+            recorder = TraceRecorder(Clock.wall())
+            frontend.attach_recorder(recorder)
+            asyncio.run(frontend.run(workload))
+        finally:
+            cluster.shutdown()
+        assert len(frontend.completed) == 600
+        events = [e for e in recorder.events if e["ev"] == "migration"]
+        assert events
+        moved = cluster.coordinator.total_migrations
+        assert moved > 0
+        assert sum(e["bins"] for e in events) == moved
+
     def test_shutdown_is_idempotent(self):
         rng = np.random.default_rng(0)
         batch = timed_workload(rng, 50, kinds=("hash",))
